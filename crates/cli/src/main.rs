@@ -4,7 +4,6 @@
 //! Simple Cache Protocol Extensions"* (ISCA 1994) from the `dirext`
 //! simulator. Run `dirext help` for usage.
 
-mod serve;
 mod svg;
 
 use std::process::ExitCode;
@@ -68,16 +67,6 @@ COMMANDS:
                    --fleet DIR` prints the same bytes as a serial run, or
                    errors on incomplete/quarantined cells (--keep-going
                    recomputes the gaps locally instead)
-    serve          Result-serving daemon on a Unix socket (--socket PATH):
-                   answers JSON experiment queries from a journal cache
-                   (--journal PATH or an assembled --fleet DIR), computing
-                   and journaling misses. Bounded by --max-inflight and
-                   --request-timeout-ms; sheds load with a busy response
-                   when saturated instead of queueing
-    query          One request to a running serve daemon (--socket PATH,
-                   plus --app/--procs/--scale/--protocol/--consistency/
-                   --network, or --stats for counters). Exit 0 answered,
-                   3 shed (busy/timeout — retry later), 1 error
     suite          Print the workload suite's sizes
     help           This message
 
@@ -150,18 +139,6 @@ FLEET MODE (the sweep commands):
     --heartbeat-ms  Lease renewal interval (default lease/5, minimum 20;
                     must renew at least 3x per lease lifetime).
 
-RESULT SERVER (`serve` and `query`):
-    --socket PATH          Unix domain socket the daemon listens on.
-    --max-inflight N       Compute slots for cache misses (default 4,
-                           1-1024); further misses get a busy response.
-    --request-timeout-ms   Per-request compute deadline (default 30000,
-                           50-600000); a timed-out compute still finishes
-                           and journals, so a retry hits the cache.
-    --idle-timeout-ms      Close a connection that sends nothing for this
-                           long (default 30000, 100-3600000); the client
-                           gets a final status=closed notice line.
-    --stats                For `query`: ask for the daemon's counters.
-
 FAULT INJECTION (for `run`, `stress` and the sweep commands):
     --fault-drop     Probability a message is dropped before link-layer
                      retransmission, in permille (0-1000)
@@ -225,11 +202,6 @@ struct Args {
     worker_id: Option<String>,
     lease_ms: Option<u64>,
     heartbeat_ms: Option<u64>,
-    socket: Option<String>,
-    max_inflight: usize,
-    request_timeout_ms: u64,
-    idle_timeout_ms: u64,
-    stats: bool,
     /// `assemble`'s positional argument: the sweep command to replay.
     assemble_target: Option<String>,
     /// Internal (set by `assemble`): replay the journal without
@@ -603,11 +575,6 @@ fn parse_args() -> Result<Args, String> {
         worker_id: None,
         lease_ms: None,
         heartbeat_ms: None,
-        socket: None,
-        max_inflight: 4,
-        request_timeout_ms: 30_000,
-        idle_timeout_ms: 30_000,
-        stats: false,
         assemble_target: None,
         replay_only: false,
     };
@@ -794,44 +761,6 @@ fn parse_args() -> Result<Args, String> {
                         .map_err(|e| format!("bad --heartbeat-ms: {e}"))?,
                 );
             }
-            "--socket" => parsed.socket = Some(value("--socket")?),
-            "--max-inflight" => {
-                parsed.max_inflight = value("--max-inflight")?
-                    .parse()
-                    .map_err(|e| format!("bad --max-inflight: {e}"))?;
-                if !(1..=1024).contains(&parsed.max_inflight) {
-                    return Err(format!(
-                        "--max-inflight must be between 1 and 1024, got {} (0 would shed every \
-                         miss; more than 1024 compute threads just thrash)",
-                        parsed.max_inflight
-                    ));
-                }
-            }
-            "--request-timeout-ms" => {
-                parsed.request_timeout_ms = value("--request-timeout-ms")?
-                    .parse()
-                    .map_err(|e| format!("bad --request-timeout-ms: {e}"))?;
-                if !(50..=600_000).contains(&parsed.request_timeout_ms) {
-                    return Err(format!(
-                        "--request-timeout-ms must be between 50 and 600000, got {} (shorter \
-                         times out every real compute; longer is a hung client)",
-                        parsed.request_timeout_ms
-                    ));
-                }
-            }
-            "--idle-timeout-ms" => {
-                parsed.idle_timeout_ms = value("--idle-timeout-ms")?
-                    .parse()
-                    .map_err(|e| format!("bad --idle-timeout-ms: {e}"))?;
-                if !(100..=3_600_000).contains(&parsed.idle_timeout_ms) {
-                    return Err(format!(
-                        "--idle-timeout-ms must be between 100 and 3600000, got {} (shorter \
-                         closes connections mid-typing; longer pins slots for over an hour)",
-                        parsed.idle_timeout_ms
-                    ));
-                }
-            }
-            "--stats" => parsed.stats = true,
             "--out" => parsed.out = Some(value("--out")?),
             "--svg" => parsed.svg = Some(value("--svg")?),
             "--network" => {
@@ -1662,8 +1591,6 @@ fn dispatch(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             };
             return dispatch(&inner);
         }
-        "serve" => serve::run_serve(args)?,
-        "query" => serve::run_query(args)?,
         "suite" => {
             for w in suite(args) {
                 println!(

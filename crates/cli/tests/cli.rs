@@ -45,15 +45,26 @@ fn help_lists_every_command() {
 
 #[test]
 fn unknown_command_fails_with_usage() {
-    let out = dirext(&["frobnicate"]);
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command"));
+    for command in ["frobnicate", "serve", "query"] {
+        let out = dirext(&[command]);
+        assert!(!out.status.success(), "{command} must fail");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("unknown command"),
+            "{command}"
+        );
+    }
 }
 
 #[test]
 fn unknown_flag_fails() {
-    let out = dirext(&["fig2", "--bogus"]);
-    assert!(!out.status.success());
+    for args in [
+        &["fig2", "--bogus"][..],
+        &["fig2", "--socket", "x"],
+        &["fig2", "--max-inflight", "4"],
+    ] {
+        let out = dirext(args);
+        assert!(!out.status.success(), "{args:?} must fail");
+    }
 }
 
 #[test]

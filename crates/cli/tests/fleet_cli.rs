@@ -1,7 +1,6 @@
-//! End-to-end tests of fleet mode, `assemble`, and the result server —
-//! the multi-process half of the fault-tolerance story, driven through
-//! the real binary so process death (kill -9) and socket behavior are
-//! tested for real.
+//! End-to-end tests of fleet mode and `assemble` — the multi-process
+//! half of the fault-tolerance story, driven through the real binary so
+//! process death (kill -9) is tested for real.
 
 use std::path::PathBuf;
 use std::process::{Child, Command, Output, Stdio};
@@ -307,229 +306,4 @@ fn pending_journal_write_error_fails_the_exit_code() {
 
     let _ = std::fs::remove_file(&j1);
     let _ = std::fs::remove_file(&j2);
-}
-
-// ---------------------------------------------------------------------
-// Result server: overload shedding and timeouts
-// ---------------------------------------------------------------------
-
-#[cfg(unix)]
-mod serve {
-    use super::*;
-
-    struct Daemon {
-        child: Child,
-        socket: PathBuf,
-    }
-
-    impl Daemon {
-        /// Starts `dirext serve` and waits until it answers a stats query.
-        fn start(name: &str, journal: &PathBuf, extra: &[&str], slow_ms: u64) -> Daemon {
-            let socket = tmp(&format!("{name}.sock"));
-            let mut cmd = bin();
-            cmd.args(["serve", "--socket"])
-                .arg(&socket)
-                .arg("--journal")
-                .arg(journal)
-                .args(extra)
-                .stdout(Stdio::null())
-                .stderr(Stdio::null());
-            if slow_ms > 0 {
-                cmd.env("DIREXT_SERVE_SLOW_MS", slow_ms.to_string());
-            }
-            let child = cmd.spawn().expect("spawn serve");
-            let d = Daemon { child, socket };
-            assert!(
-                wait_for(10, || d.query(&["--stats"]).status.success()),
-                "serve must come up within 10 s"
-            );
-            d
-        }
-
-        fn query(&self, args: &[&str]) -> Output {
-            let mut cmd = bin();
-            cmd.args(["query", "--socket"]).arg(&self.socket).args(args);
-            cmd.output().expect("run query")
-        }
-
-        /// Graceful SIGINT shutdown; asserts exit 0 and socket cleanup.
-        fn stop(mut self) {
-            let ok = Command::new("kill")
-                .args(["-INT", &self.child.id().to_string()])
-                .status()
-                .map(|s| s.success())
-                .unwrap_or(false);
-            if !ok {
-                self.child.kill().expect("fallback kill");
-            }
-            let status = self.child.wait().expect("reap serve");
-            if ok {
-                assert!(status.success(), "serve exits 0 on SIGINT");
-                assert!(!self.socket.exists(), "socket removed on shutdown");
-            }
-        }
-    }
-
-    fn status_of(out: &Output) -> String {
-        let text = String::from_utf8_lossy(&out.stdout);
-        text.split("\"status\":\"")
-            .nth(1)
-            .and_then(|r| r.split('"').next())
-            .unwrap_or("")
-            .to_owned()
-    }
-
-    #[test]
-    fn serve_sheds_load_with_busy_but_keeps_serving_hits() {
-        let journal = tmp("serve-shed.jsonl");
-        // One compute slot, each compute artificially slowed to 1.2 s.
-        let d = Daemon::start("shed", &journal, &["--max-inflight", "1"], 1200);
-
-        // Prime the cache (slow compute, but within the default timeout).
-        let primed = d.query(&["--app", "water", "--procs", "4", "--scale", "tiny"]);
-        assert!(primed.status.success());
-        assert_eq!(status_of(&primed), "computed");
-
-        // Saturate the single slot with a long-running miss...
-        let slot_hog = {
-            let mut cmd = bin();
-            cmd.args(["query", "--socket"])
-                .arg(&d.socket)
-                .args(["--app", "lu", "--procs", "4", "--scale", "tiny"])
-                .stdout(Stdio::piped())
-                .stderr(Stdio::null());
-            cmd.spawn().expect("spawn hog query")
-        };
-        assert!(
-            wait_for(5, || status_of(&d.query(&["--stats"])) == "stats"
-                && String::from_utf8_lossy(&d.query(&["--stats"]).stdout)
-                    .contains("\"inflight\":1")),
-            "the hog request must occupy the compute slot"
-        );
-
-        // ...a second miss is shed with an explicit busy response and the
-        // documented retry exit code...
-        let shed = d.query(&["--app", "mp3d", "--procs", "4", "--scale", "tiny"]);
-        assert_eq!(status_of(&shed), "busy");
-        assert_eq!(
-            shed.status.code(),
-            Some(3),
-            "busy means exit 3 (retry later)"
-        );
-
-        // ...while the primed cell is still served from cache.
-        let hit = d.query(&["--app", "water", "--procs", "4", "--scale", "tiny"]);
-        assert!(hit.status.success());
-        assert_eq!(status_of(&hit), "hit");
-
-        // The hog completes normally once its compute finishes.
-        let hog_out = slot_hog.wait_with_output().expect("hog output");
-        assert!(hog_out.status.success());
-
-        // Stats reflect the whole story.
-        let stats = String::from_utf8_lossy(&d.query(&["--stats"]).stdout).into_owned();
-        assert!(stats.contains("\"busy\":1"), "{stats}");
-        assert!(stats.contains("\"hits\":1"), "{stats}");
-
-        d.stop();
-        let _ = std::fs::remove_file(&journal);
-    }
-
-    #[test]
-    fn serve_timeout_frees_the_client_and_retry_hits() {
-        let journal = tmp("serve-timeout.jsonl");
-        let d = Daemon::start("timeout", &journal, &["--request-timeout-ms", "200"], 900);
-
-        let timed_out = d.query(&["--app", "cholesky", "--procs", "4", "--scale", "tiny"]);
-        assert_eq!(status_of(&timed_out), "timeout");
-        assert_eq!(timed_out.status.code(), Some(3));
-
-        // The compute finished in the background and was journaled: the
-        // retry is a cache hit (which never sleeps, so it beats the
-        // 200 ms timeout despite the 900 ms slow hook).
-        assert!(
-            wait_for(10, || {
-                let retry = d.query(&["--app", "cholesky", "--procs", "4", "--scale", "tiny"]);
-                status_of(&retry) == "hit" && retry.status.success()
-            }),
-            "the timed-out compute must land in the cache"
-        );
-
-        d.stop();
-        let _ = std::fs::remove_file(&journal);
-    }
-
-    #[test]
-    fn serve_answers_from_an_assembled_fleet_journal() {
-        // A fleet sweep doubles as a pre-warmed cache: fig2 cells answer
-        // matching serve queries via the config-suffix lookup.
-        let dir = tmp("serve-fleet");
-        let dir_s = dir.to_str().expect("utf8 dir");
-        assert!(dirext(&[
-            "fig2",
-            "--scale",
-            "tiny",
-            "--app",
-            "water",
-            "--fleet",
-            dir_s,
-            "--worker-id",
-            "w0",
-        ])
-        .status
-        .success());
-
-        let socket = tmp("serve-fleet.sock");
-        let child = bin()
-            .args(["serve", "--socket"])
-            .arg(&socket)
-            .args(["--fleet", dir_s])
-            .stdout(Stdio::null())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("spawn serve");
-        let d = Daemon { child, socket };
-        assert!(wait_for(10, || d.query(&["--stats"]).status.success()));
-
-        // fig2 runs at 16 procs by default; the matching query is a hit
-        // without any compute.
-        let hit = d.query(&[
-            "--app",
-            "water",
-            "--procs",
-            "16",
-            "--scale",
-            "tiny",
-            "--protocol",
-            "P+CW+M",
-        ]);
-        assert!(
-            hit.status.success(),
-            "{}",
-            String::from_utf8_lossy(&hit.stderr)
-        );
-        assert_eq!(status_of(&hit), "hit");
-        assert!(
-            String::from_utf8_lossy(&hit.stdout).contains("\"served_from\":\"fig2/"),
-            "cross-driver hits name their source cell"
-        );
-
-        d.stop();
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn query_without_daemon_is_an_actionable_error() {
-        let socket = tmp("no-daemon.sock");
-        let mut cmd = bin();
-        cmd.args(["query", "--socket"])
-            .arg(&socket)
-            .args(["--app", "water"]);
-        let out = cmd.output().expect("run query");
-        assert_eq!(out.status.code(), Some(1));
-        assert!(
-            String::from_utf8_lossy(&out.stderr).contains("is `dirext serve"),
-            "hints at starting the daemon"
-        );
-    }
 }

@@ -2,13 +2,14 @@
 //!
 //! Every topology (and the fault layer) is driven through thousands of
 //! sends under a counting global allocator; after construction, no send may
-//! touch the heap. This pins the arena/recycling properties the end-to-end
+//! touch the heap. The count is per thread, so allocations made by other
+//! test threads in this binary never land in a test's window. This pins the arena/recycling properties the end-to-end
 //! perf gate relies on: mesh routes live in a precomputed hop arena, the
 //! fault layer's pair clocks are a dense table, and traffic accounting is
 //! plain counters.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use dirext_kernel::Time;
 use dirext_network::{
@@ -19,11 +20,25 @@ use dirext_trace::NodeId;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const` initialisation: touching the counter never allocates, so the
+    // allocator can bump it without recursing into itself.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation against the calling thread.
+fn count_alloc() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made so far by the calling thread.
+fn allocs_so_far() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
@@ -32,7 +47,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -49,7 +64,7 @@ fn allocs_during_sends(net: &mut dyn Network, rounds: u64) -> u64 {
         (20, TrafficClass::Update),
         (8, TrafficClass::Sync),
     ];
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs_so_far();
     for r in 0..rounds {
         for src in 0..16u16 {
             for dst in 0..16u16 {
@@ -59,7 +74,7 @@ fn allocs_during_sends(net: &mut dyn Network, rounds: u64) -> u64 {
             }
         }
     }
-    ALLOCS.load(Ordering::Relaxed) - before
+    allocs_so_far() - before
 }
 
 #[test]
@@ -94,7 +109,7 @@ fn allocs_during_spread_sends(net: &mut dyn Network, nodes: u16, rounds: u64) ->
         (8, TrafficClass::Sync),
     ];
     let stride = (nodes / 16).max(1);
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs_so_far();
     for r in 0..rounds {
         for si in 0..16u16 {
             for di in 0..16u16 {
@@ -107,7 +122,7 @@ fn allocs_during_spread_sends(net: &mut dyn Network, nodes: u16, rounds: u64) ->
             }
         }
     }
-    ALLOCS.load(Ordering::Relaxed) - before
+    allocs_so_far() - before
 }
 
 #[test]

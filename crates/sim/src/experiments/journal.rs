@@ -468,24 +468,6 @@ impl Journal {
             .map(|c| (c.fence, c.metrics.clone()))
     }
 
-    /// Finds a completed cell whose key matches `suffix` — everything
-    /// after the driver component — regardless of which driver recorded
-    /// it. Ties resolve to the lexicographically smallest full key, so
-    /// the answer is deterministic across journal layouts. Used by the
-    /// result server to satisfy queries from any sweep's records.
-    pub fn lookup_config(&self, suffix: &str) -> Option<(String, Metrics)> {
-        let inner = self.inner.lock().expect("journal lock");
-        let mut best: Option<&String> = None;
-        for key in inner.completed.keys() {
-            if key.split_once('/').map(|(_, rest)| rest) == Some(suffix)
-                && best.is_none_or(|b| key < b)
-            {
-                best = Some(key);
-            }
-        }
-        best.map(|k| (k.clone(), inner.completed[k].metrics.clone()))
-    }
-
     /// Whether `key` is recorded as a terminal failure (and not since
     /// superseded by a success).
     pub fn is_failed(&self, key: &str) -> bool {
@@ -1098,31 +1080,6 @@ mod tests {
         assert_eq!(summary.cells, 1);
         assert_eq!(summary.failed, 0, "the success shadows the failure");
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn lookup_config_matches_any_driver() {
-        let path = tmp("suffix");
-        let _ = std::fs::remove_file(&path);
-        let j = Journal::create(&path).unwrap();
-        j.record_ok(
-            "zeta/W@2.1.1/BASIC/RC/uniform/base/f=none",
-            1,
-            &sample_metrics(1),
-        );
-        j.record_ok(
-            "alpha/W@2.1.1/BASIC/RC/uniform/base/f=none",
-            1,
-            &sample_metrics(2),
-        );
-        let (key, _) = j
-            .lookup_config("W@2.1.1/BASIC/RC/uniform/base/f=none")
-            .expect("suffix hit");
-        assert_eq!(key, "alpha/W@2.1.1/BASIC/RC/uniform/base/f=none");
-        assert!(j
-            .lookup_config("W@2.1.1/BASIC/SC/uniform/base/f=none")
-            .is_none());
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
