@@ -34,10 +34,6 @@ use crate::{Deliveries, Envelope, Network, TrafficStats};
 use dirext_kernel::{Pcg32, Time};
 use dirext_trace::NodeId;
 
-/// Pair-clock table stride: the machine's presence vector caps it at 64
-/// nodes, so a flat 64×64 table (32 KB) replaces a per-message hash lookup.
-const PAIR_STRIDE: usize = 64;
-
 /// Spread (in cycles) of the random lag between a message and its duplicate.
 const DUP_LAG_SPREAD: u32 = 128;
 
@@ -130,27 +126,26 @@ pub struct FaultyNetwork {
 }
 
 impl FaultyNetwork {
-    /// Wraps `inner` with the faults described by `plan`, sized for
-    /// machines of up to `PAIR_STRIDE` (64) nodes. Larger machines must
-    /// use [`FaultyNetwork::with_nodes`].
-    pub fn new(inner: Box<dyn Network>, plan: FaultPlan) -> Self {
-        Self::with_nodes(inner, plan, PAIR_STRIDE)
-    }
-
-    /// Wraps `inner` with the faults described by `plan`, sizing the
-    /// per-pair FIFO clock table for a machine of `nodes` nodes.
-    pub fn with_nodes(inner: Box<dyn Network>, plan: FaultPlan, nodes: usize) -> Self {
+    /// Wraps `inner` (a topology serving `nodes` nodes) with the faults
+    /// described by `plan`. The per-pair FIFO clock table is a flat
+    /// `nodes`×`nodes` array, which replaces a per-message hash lookup.
+    pub fn new(inner: Box<dyn Network>, plan: FaultPlan, nodes: usize) -> Self {
         let name = format!("{}+faults", inner.name());
-        let stride = nodes.max(PAIR_STRIDE);
         FaultyNetwork {
             inner,
             rng: Pcg32::with_stream(plan.seed, 0xFA17),
             plan,
-            pair_clock: vec![Time::ZERO; stride * stride],
-            stride,
+            pair_clock: vec![Time::ZERO; nodes * nodes],
+            stride: nodes,
             stats: FaultStats::default(),
             name,
         }
+    }
+
+    /// Same as [`FaultyNetwork::new`]; the name the `hostbench` harness
+    /// calls.
+    pub fn with_nodes(inner: Box<dyn Network>, plan: FaultPlan, nodes: usize) -> Self {
+        Self::new(inner, plan, nodes)
     }
 
     /// The plan this network was built with.
@@ -239,26 +234,19 @@ impl Network for FaultyNetwork {
     fn fault_stats(&self) -> Option<&FaultStats> {
         Some(&self.stats)
     }
-
-    /// Faults only ever *add* delay: jitter and retransmission backoff are
-    /// nonnegative, and the pair-FIFO clamp is a `max`. The wrapped
-    /// topology's bound therefore survives the decoration unchanged.
-    fn min_remote_latency(&self) -> Option<Time> {
-        self.inner.min_remote_latency()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{TrafficClass, UniformNetwork};
+    use crate::{HierMeshNetwork, TrafficClass, UniformNetwork};
 
     fn env(src: u16, dst: u16) -> Envelope {
         Envelope::new(NodeId(src), NodeId(dst), 8, TrafficClass::Control)
     }
 
     fn faulty(plan: FaultPlan) -> FaultyNetwork {
-        FaultyNetwork::new(Box::new(UniformNetwork::paper_default()), plan)
+        FaultyNetwork::new(Box::new(UniformNetwork::paper_default()), plan, 16)
     }
 
     #[test]
@@ -353,5 +341,30 @@ mod tests {
         let mut net = faulty(plan);
         let t = net.send(Time::from_cycles(4), env(0, 1));
         assert!(t > Time::from_cycles(4));
+    }
+
+    #[test]
+    fn large_machine_pairs_stay_in_bounds_and_fifo() {
+        // Sources and destinations past node 64 index the pair-clock table
+        // by the machine's own node count.
+        let plan = FaultPlan {
+            drop_permille: 150,
+            dup_permille: 200,
+            jitter_cycles: 200,
+            ..FaultPlan::seeded(9)
+        };
+        let mut net = FaultyNetwork::new(Box::new(HierMeshNetwork::new(256, 64)), plan, 256);
+        for (src, dst) in [(200, 3), (255, 130), (64, 255)] {
+            let mut last = Time::ZERO;
+            for i in 0..200 {
+                let d = net.send_all(Time::from_cycles(i * 5), env(src, dst));
+                for t in d.primary.into_iter().chain(d.duplicate) {
+                    assert!(t >= last, "{src}->{dst} delivery overtook pair clock");
+                    last = t;
+                }
+            }
+            assert!(last > Time::ZERO, "{src}->{dst} delivered nothing");
+        }
+        assert_eq!(net.fault_stats().unwrap().messages, 600);
     }
 }

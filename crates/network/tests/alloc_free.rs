@@ -139,16 +139,16 @@ fn hier_mesh_sends_never_allocate() {
 
 #[test]
 fn faulty_hier_mesh_sends_never_allocate() {
-    // 1024 nodes exceeds the fault layer's default 64-node pair-clock
-    // table; `with_nodes` sizes it at construction so fault-perturbed
-    // cross-cluster sends stay allocation-free (and in bounds).
+    // The fault layer sizes its pair-clock table for all 1024 nodes at
+    // construction, so fault-perturbed cross-cluster sends stay
+    // allocation-free (and in bounds).
     let plan = FaultPlan {
         drop_permille: 100,
         dup_permille: 100,
         jitter_cycles: 40,
         ..FaultPlan::seeded(42)
     };
-    let mut net = FaultyNetwork::with_nodes(Box::new(HierMeshNetwork::new(1024, 32)), plan, 1024);
+    let mut net = FaultyNetwork::new(Box::new(HierMeshNetwork::new(1024, 32)), plan, 1024);
     assert_eq!(allocs_during_spread_sends(&mut net, 1024, 20), 0);
 }
 
@@ -160,6 +160,6 @@ fn fault_layer_sends_never_allocate() {
         jitter_cycles: 40,
         ..FaultPlan::seeded(42)
     };
-    let mut net = FaultyNetwork::new(Box::new(MeshNetwork::paper_mesh(32)), plan);
+    let mut net = FaultyNetwork::new(Box::new(MeshNetwork::paper_mesh(32)), plan, 16);
     assert_eq!(allocs_during_sends(&mut net, 20), 0);
 }

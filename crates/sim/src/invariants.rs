@@ -47,8 +47,7 @@ pub(crate) fn check_conformance(m: &Machine) -> Vec<Violation> {
 ///   ownership/update/upgrade requests (a leak here wedges every later
 ///   release).
 pub(crate) fn check_midrun(m: &Machine) -> Result<(), String> {
-    for hi in 0..m.cfg.procs {
-        let h = m.home(hi);
+    for h in &m.homes {
         for block in h.dir.blocks() {
             if h.dir.pending_op(block) {
                 continue;
@@ -69,12 +68,11 @@ pub(crate) fn check_midrun(m: &Machine) -> Result<(), String> {
         }
     }
     for i in 0..m.cfg.procs {
-        let nodes = m.nodes_of(i);
         let id = NodeId(i as u16);
         let mut reads = std::collections::HashMap::new();
         let mut owns = std::collections::HashMap::new();
         let mut gated: u64 = 0;
-        for e in &nodes.slwb[i] {
+        for e in &m.nodes.slwb[i] {
             match e.op {
                 crate::node::SlwbOp::Read {
                     upgrade_version, ..
@@ -98,10 +96,10 @@ pub(crate) fn check_midrun(m: &Machine) -> Result<(), String> {
         if let Some((b, c)) = owns.iter().find(|(_, c)| **c > 1) {
             return Err(format!("{id}: {c} outstanding ownership requests for {b}"));
         }
-        if nodes.pending_writes[i] != gated {
+        if m.nodes.pending_writes[i] != gated {
             return Err(format!(
                 "{id}: pending_writes {} but {gated} gating SLWB entries",
-                nodes.pending_writes[i]
+                m.nodes.pending_writes[i]
             ));
         }
     }
@@ -112,44 +110,42 @@ pub(crate) fn check_midrun(m: &Machine) -> Result<(), String> {
 pub(crate) fn check(m: &Machine) -> Result<(), String> {
     // 1. Drained state.
     for i in 0..m.cfg.procs {
-        let nodes = m.nodes_of(i);
         let id = NodeId(i as u16);
-        if !nodes.slwb[i].is_empty() {
-            return Err(format!("{id}: SLWB not drained: {:?}", nodes.slwb[i]));
+        if !m.nodes.slwb[i].is_empty() {
+            return Err(format!("{id}: SLWB not drained: {:?}", m.nodes.slwb[i]));
         }
-        if !nodes.flwb[i].is_empty() {
+        if !m.nodes.flwb[i].is_empty() {
             return Err(format!("{id}: FLWB not drained"));
         }
-        if !nodes.update_backlog[i].is_empty() || !nodes.wb_backlog[i].is_empty() {
+        if !m.nodes.update_backlog[i].is_empty() || !m.nodes.wb_backlog[i].is_empty() {
             return Err(format!("{id}: backlog not drained"));
         }
-        if nodes.wc[i].as_ref().is_some_and(|wc| !wc.is_empty()) {
+        if m.nodes.wc[i].as_ref().is_some_and(|wc| !wc.is_empty()) {
             return Err(format!("{id}: write cache not flushed"));
         }
-        if nodes.pending_writes[i] != 0 {
+        if m.nodes.pending_writes[i] != 0 {
             return Err(format!(
                 "{id}: {} pending writes at quiescence",
-                nodes.pending_writes[i]
+                m.nodes.pending_writes[i]
             ));
         }
-        if !nodes.sync_waiting[i].is_empty() {
+        if !m.nodes.sync_waiting[i].is_empty() {
             return Err(format!("{id}: deferred synchronization still waiting"));
         }
-        if !nodes.held_locks[i].is_empty() {
+        if !m.nodes.held_locks[i].is_empty() {
             return Err(format!(
                 "{id}: locks still held at quiescence: {:?}",
-                nodes.held_locks[i]
+                m.nodes.held_locks[i]
             ));
         }
         // Inclusion: every FLC-resident block has a valid SLC line.
-        for block in nodes.flc.resident(i) {
-            if !nodes.slc[i].contains(block) {
+        for block in m.nodes.flc.resident(i) {
+            if !m.nodes.slc[i].contains(block) {
                 return Err(format!("{id}: FLC holds {block} without an SLC line"));
             }
         }
     }
-    for hi in 0..m.cfg.procs {
-        let h = m.home(hi);
+    for (hi, h) in m.homes.iter().enumerate() {
         if h.dir.has_pending() {
             return Err(format!("home {hi}: directory has pending operations"));
         }
@@ -162,8 +158,7 @@ pub(crate) fn check(m: &Machine) -> Result<(), String> {
     }
 
     // 2-4. Per-block coherence.
-    for hi in 0..m.cfg.procs {
-        let h = m.home(hi);
+    for h in &m.homes {
         for block in h.dir.blocks() {
             let Some((owner, _, _migratory)) = h.dir.snapshot(block) else {
                 return Err(format!(
@@ -188,7 +183,7 @@ pub(crate) fn check(m: &Machine) -> Result<(), String> {
                             "{block}: MODIFIED at {o} but the exact sharer set is not {{{o}}}"
                         ));
                     }
-                    let Some(line) = m.nodes_of(o.idx()).slc[o.idx()].get(block) else {
+                    let Some(line) = m.nodes.slc[o.idx()].get(block) else {
                         return Err(format!("{block}: owner {o} holds no copy"));
                     };
                     if !line.state.exclusive() {
@@ -201,7 +196,7 @@ pub(crate) fn check(m: &Machine) -> Result<(), String> {
                         ));
                     }
                     for i in 0..m.cfg.procs {
-                        if i != o.idx() && m.nodes_of(i).slc[i].contains(block) {
+                        if i != o.idx() && m.nodes.slc[i].contains(block) {
                             return Err(format!(
                                 "{block}: {} holds a copy alongside owner {o}",
                                 NodeId(i as u16)
@@ -219,7 +214,7 @@ pub(crate) fn check(m: &Machine) -> Result<(), String> {
                     for i in 0..m.cfg.procs {
                         let id = NodeId(i as u16);
                         let covered = h.dir.covers(block, id);
-                        match m.nodes_of(i).slc[i].get(block) {
+                        match m.nodes.slc[i].get(block) {
                             Some(line) => {
                                 if line.state != CacheState::Shared {
                                     return Err(format!(
