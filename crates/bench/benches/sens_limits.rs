@@ -3,6 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dirext_bench::{suite, workload};
+use dirext_core::sharer::DirOrg;
 use dirext_core::{Consistency, ProtocolKind};
 use dirext_memsys::Timing;
 use dirext_sim::experiments::{self, sens::Constraint};
@@ -21,24 +22,30 @@ fn bench(c: &mut Criterion) {
     let w = workload(App::Lu);
     group.bench_function("LU/P/slc16k", |b| {
         b.iter(|| {
-            experiments::run_protocol_on(
+            experiments::run_protocol_full(
                 &w,
                 ProtocolKind::P,
                 Consistency::Rc,
                 NetworkKind::Uniform,
+                DirOrg::FullMap,
                 Some(Timing::paper_default().with_limited_slc()),
+                None,
+                None,
             )
             .expect("run")
         })
     });
     group.bench_function("LU/BASIC/buffers4", |b| {
         b.iter(|| {
-            experiments::run_protocol_on(
+            experiments::run_protocol_full(
                 &w,
                 ProtocolKind::Basic,
                 Consistency::Rc,
                 NetworkKind::Uniform,
+                DirOrg::FullMap,
                 Some(Timing::paper_default().with_small_buffers()),
+                None,
+                None,
             )
             .expect("run")
         })

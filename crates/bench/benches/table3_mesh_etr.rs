@@ -3,6 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dirext_bench::{suite, workload};
+use dirext_core::sharer::DirOrg;
 use dirext_core::{Consistency, ProtocolKind};
 use dirext_sim::{experiments, NetworkKind};
 use dirext_workloads::App;
@@ -24,11 +25,14 @@ fn bench(c: &mut Criterion) {
     for bits in [64u32, 16] {
         group.bench_function(format!("MP3D/P+CW/mesh{bits}"), |b| {
             b.iter(|| {
-                experiments::run_protocol_on(
+                experiments::run_protocol_full(
                     &w,
                     ProtocolKind::PCw,
                     Consistency::Rc,
                     NetworkKind::Mesh { link_bits: bits },
+                    DirOrg::FullMap,
+                    None,
+                    None,
                     None,
                 )
                 .expect("run")

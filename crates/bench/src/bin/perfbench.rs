@@ -499,12 +499,13 @@ fn main() {
             );
             let run_cell = || {
                 let t0 = Instant::now();
-                let m = experiments::run_protocol_dir(
+                let m = experiments::run_protocol_full(
                     &dir_w,
                     dirext_core::ProtocolKind::PCw,
                     dirext_core::Consistency::Rc,
                     dirext_sim::NetworkKind::HierMesh { link_bits: 64 },
                     org,
+                    None,
                     None,
                     None,
                 )

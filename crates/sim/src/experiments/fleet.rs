@@ -14,6 +14,12 @@
 //!   that worker computed. `dirext assemble` (or any surviving worker at
 //!   the end of the sweep) folds these into the full result set.
 //!
+//! A fleet is not a second scheduler: [`run_cells`](super::run_cells)
+//! runs the same worker loop as a local sweep, with `Fleet::claim` as its
+//! claim source, the `Fleet::heartbeat` thread beside the workers, and
+//! `Fleet::outcomes` folding every worker's journal into the per-cell
+//! outcomes afterwards.
+//!
 //! # Lease lifecycle
 //!
 //! A worker that wants a cell reads the lease log, and may claim the
@@ -46,9 +52,10 @@
 //! worker observes stops the whole fleet from claiming further cells.
 //! With `--keep-going`, failed cells are terminal and the survivors
 //! finish everything else; every worker then reports the same
-//! quarantine. SIGINT drains exactly like a single-process sweep:
-//! claimed cells finish (their leases are renewed meanwhile), nothing
-//! new is claimed, and a later run resumes from the journals.
+//! quarantine, worded as a local sweep words it. SIGINT drains exactly
+//! like a single-process sweep: claimed cells finish (their leases are
+//! renewed meanwhile), nothing new is claimed, and a later run resumes
+//! from the journals.
 //!
 //! Test hook: `DIREXT_FLEET_SLOW_MS` sleeps that many milliseconds after
 //! each claim before simulating, widening the kill window for the CI
@@ -61,13 +68,13 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 use dirext_stats::Metrics;
 use serde::{Deserialize, Serialize};
 
 use super::journal::{self, Journal, JournalError, JournalScan};
-use super::runner::{self, Cell, CellFailure, Quarantine, SweepError, SweepOpts};
+use super::runner::{CellFailure, Outcome, SweepError, PANIC_PREFIX};
 
 /// First line of the shared lease log.
 pub const LEASE_HEADER: &str = "{\"dirext_leases\":1}";
@@ -280,24 +287,29 @@ impl FleetConfig {
 }
 
 /// A combined snapshot of the lease log and every worker journal — what
-/// a worker consults to decide which cell to claim next.
-struct FleetView {
+/// a worker consults to decide which cell to claim next. Sibling journals
+/// are parsed from disk; this worker's own results come from its
+/// in-memory [`Journal`], which records a line only once it is written.
+struct FleetView<'a> {
     state: LeaseState,
-    scans: Vec<Arc<JournalScan>>,
+    siblings: Vec<Arc<JournalScan>>,
+    own: &'a Journal,
 }
 
-impl FleetView {
+impl FleetView<'_> {
     fn has_metrics(&self, key: &str) -> bool {
-        self.scans.iter().any(|s| s.completed.contains_key(key))
+        self.own.is_completed(key) || self.siblings.iter().any(|s| s.completed.contains_key(key))
     }
 
     /// The completed record with the highest fence across all journals.
-    fn best_metrics(&self, key: &str) -> Option<&Metrics> {
-        self.scans
-            .iter()
-            .filter_map(|s| s.completed.get(key))
+    fn best_metrics(&self, key: &str) -> Option<Metrics> {
+        let siblings = self.siblings.iter().filter_map(|s| s.completed.get(key));
+        self.own
+            .lookup_fenced(key)
+            .into_iter()
+            .chain(siblings.cloned())
             .max_by_key(|c| c.fence)
-            .map(|c| &c.metrics)
+            .map(|c| c.metrics)
     }
 
     /// Terminally complete: a `done {ok}` marker *and* a journaled
@@ -329,28 +341,30 @@ impl FleetView {
 
     /// Reconstructs a failed cell's diagnostics from the journals
     /// (highest fence wins; a worker that died between `done` and its
-    /// journal append yields a placeholder).
+    /// journal append yields a placeholder), in the same shape a local
+    /// sweep reports.
     fn failure(&self, key: &str) -> CellFailure {
+        let siblings = self.siblings.iter().filter_map(|s| s.failed.get(key));
         let best = self
-            .scans
-            .iter()
-            .filter_map(|s| s.failed.get(key))
+            .own
+            .failed_cell(key)
+            .into_iter()
+            .chain(siblings.cloned())
             .max_by_key(|c| c.fence);
-        match best {
-            Some(fc) => CellFailure {
-                key: key.to_owned(),
-                error: fc.error.clone(),
-                sim: None,
-                panicked: fc.error.starts_with("panic:"),
-                attempts: fc.attempts,
-            },
-            None => CellFailure {
-                key: key.to_owned(),
-                error: "cell failed on a fleet worker (diagnostics not recorded)".to_owned(),
-                sim: None,
-                panicked: false,
-                attempts: 0,
-            },
+        let (error, attempts) = match best {
+            Some(c) => (c.error, c.attempts),
+            None => (
+                "cell failed on a fleet worker (diagnostics not recorded)".into(),
+                0,
+            ),
+        };
+        let panic_detail = error.strip_prefix(PANIC_PREFIX).map(str::to_owned);
+        CellFailure {
+            key: key.to_owned(),
+            panicked: panic_detail.is_some(),
+            error: panic_detail.unwrap_or(error),
+            sim: None,
+            attempts,
         }
     }
 }
@@ -367,9 +381,15 @@ pub struct Fleet {
     /// Journal-scan cache keyed by path, invalidated by file length
     /// (sibling journals only grow).
     scans: Mutex<HashMap<PathBuf, (u64, Arc<JournalScan>)>>,
-    /// Serializes [`Fleet::try_claim`]'s read-append-confirm sequence
-    /// across this worker's pool threads (see there for why).
+    /// Serializes [`Fleet::claim`]'s read-pick-append-confirm sequence
+    /// across this worker's pool threads (see [`Fleet::claim_in`]).
     claim_gate: Mutex<()>,
+    /// Leases this process holds, with their fences: renewed by the
+    /// heartbeat, and never waited on by an idle claim.
+    held: Mutex<HashMap<String, u64>>,
+    /// The first lease-log error of the current sweep; once set, the
+    /// claim source runs dry (see [`Fleet::take_error`]).
+    error: Mutex<Option<SweepError>>,
 }
 
 impl fmt::Debug for Fleet {
@@ -465,6 +485,8 @@ impl Fleet {
             journal,
             scans: Mutex::new(HashMap::new()),
             claim_gate: Mutex::new(()),
+            held: Mutex::new(HashMap::new()),
+            error: Mutex::new(None),
         })
     }
 
@@ -484,8 +506,24 @@ impl Fleet {
         &self.config.dir
     }
 
-    fn append(&self, line: &LeaseLine) -> Result<(), SweepError> {
-        let rendered = serde_json::to_string(line)
+    /// Appends one lease record of this worker.
+    fn append(
+        &self,
+        op: &str,
+        key: &str,
+        fence: u64,
+        deadline_ms: u64,
+        ok: bool,
+    ) -> Result<(), SweepError> {
+        let line = LeaseLine {
+            op: op.to_owned(),
+            key: key.to_owned(),
+            worker: self.config.worker_id.clone(),
+            fence,
+            deadline_ms,
+            ok,
+        };
+        let rendered = serde_json::to_string(&line)
             .map_err(|e| SweepError::Journal(format!("serialize lease record: {e}")))?;
         let mut file = self.lease_file.lock().expect("lease file lock");
         // One write_all per record through O_APPEND: atomic enough that
@@ -503,14 +541,19 @@ impl Fleet {
         Ok(replay(&text).0)
     }
 
-    /// Scans every worker journal in the fleet dir, reusing cached parses
-    /// for files whose length has not changed.
+    /// Scans every other worker's journal in the fleet dir, reusing cached
+    /// parses for files whose length has not changed. This worker's own
+    /// journal is skipped: it grows with every cell, so a cached parse
+    /// would miss every time, and its in-memory copy is current anyway.
     fn sibling_scans(&self) -> Result<Vec<Arc<JournalScan>>, SweepError> {
         let paths =
             worker_journals(&self.config.dir).map_err(|e| SweepError::Journal(e.to_string()))?;
         let mut cache = self.scans.lock().expect("scan cache lock");
         let mut out = Vec::with_capacity(paths.len());
         for path in paths {
+            if path == self.journal.path() {
+                continue;
+            }
             let len = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
             match cache.get(&path) {
                 Some((cached_len, scan)) if *cached_len == len => out.push(Arc::clone(scan)),
@@ -526,62 +569,37 @@ impl Fleet {
         Ok(out)
     }
 
-    fn view(&self) -> Result<FleetView, SweepError> {
+    fn view(&self) -> Result<FleetView<'_>, SweepError> {
         Ok(FleetView {
             state: self.read_lease_state()?,
-            scans: self.sibling_scans()?,
+            siblings: self.sibling_scans()?,
+            own: &self.journal,
         })
     }
 
-    /// Attempts to claim `key`: verifies it is free in a fresh read,
-    /// appends a claim with fence `max+1`, then re-reads to learn whether
-    /// the claim won (file order arbitrates races). Returns the fencing
-    /// token on success.
+    /// Attempts to claim `key` if `view` shows it claimable: appends a
+    /// claim with fence `max+1`, then re-reads to learn whether the claim
+    /// won (file order arbitrates races). Returns the fencing token on
+    /// success.
     ///
-    /// The whole read-check-append-confirm sequence runs under an
-    /// in-process gate: two pool threads of the *same* worker would
-    /// otherwise race to identical `(worker, fence)` claim records and
-    /// both pass the confirm (the lease log cannot tell them apart).
-    /// Cross-process races need no gate — distinct worker ids make the
-    /// confirm re-read decisive.
-    fn try_claim(&self, key: &str) -> Result<Option<u64>, SweepError> {
-        let _gate = self.claim_gate.lock().expect("claim gate");
-        let state = self.read_lease_state()?;
-        let now = now_ms();
-        match state.done.get(key) {
-            Some(&false) => return Ok(None),
-            // A done marker alone is not terminal: the owner may have
-            // died between `done` and a journal flush (the crash window
-            // the self-healing rule exists for). It IS terminal once any
-            // journal holds the metrics — the owner writes them *before*
-            // marking done, so this fresh scan is authoritative and a
-            // finished cell is never recomputed.
-            Some(&true)
-                if self
-                    .sibling_scans()?
-                    .iter()
-                    .any(|s| s.completed.contains_key(key)) =>
-            {
-                return Ok(None);
-            }
-            _ => {}
-        }
-        if state
-            .leases
-            .get(key)
-            .is_some_and(|s| s.held && s.deadline_ms > now)
-        {
+    /// The caller holds `claim_gate` and read `view` under it: two pool
+    /// threads of the *same* worker would otherwise race to identical
+    /// `(worker, fence)` claim records and both pass the confirm (the
+    /// lease log cannot tell them apart). Cross-process races need no
+    /// gate — distinct worker ids make the confirm re-read decisive.
+    ///
+    /// `view` is fresh: a `done` marker is terminal only once some
+    /// journal holds the metrics (the owner writes them *before* marking
+    /// done), so a finished cell is never recomputed, while an owner that
+    /// died between `done` and its journal flush leaves the cell
+    /// claimable.
+    fn claim_in(&self, view: &FleetView<'_>, key: &str) -> Result<Option<u64>, SweepError> {
+        if !view.claimable(key, now_ms()) {
             return Ok(None);
         }
-        let fence = state.max_fence.get(key).copied().unwrap_or(0) + 1;
-        self.append(&LeaseLine {
-            op: "claim".to_owned(),
-            key: key.to_owned(),
-            worker: self.config.worker_id.clone(),
-            fence,
-            deadline_ms: now_ms() + self.config.lease_ms,
-            ok: false,
-        })?;
+        let fence = view.state.max_fence.get(key).copied().unwrap_or(0) + 1;
+        let deadline = now_ms() + self.config.lease_ms;
+        self.append("claim", key, fence, deadline, false)?;
         let confirmed = self.read_lease_state()?;
         let won = confirmed
             .leases
@@ -590,44 +608,159 @@ impl Fleet {
         Ok(if won { Some(fence) } else { None })
     }
 
-    /// Renews every held lease (heartbeat thread).
-    fn renew_held(&self, held: &[(String, u64)]) -> Result<(), SweepError> {
-        let deadline = now_ms() + self.config.lease_ms;
-        for (key, fence) in held {
-            self.append(&LeaseLine {
-                op: "renew".to_owned(),
-                key: key.clone(),
-                worker: self.config.worker_id.clone(),
-                fence: *fence,
-                deadline_ms: deadline,
-                ok: false,
-            })?;
-        }
-        Ok(())
-    }
-
     /// Releases a claimed-but-unrun cell (cancellation path).
     fn release(&self, key: &str, fence: u64) -> Result<(), SweepError> {
-        self.append(&LeaseLine {
-            op: "release".to_owned(),
-            key: key.to_owned(),
-            worker: self.config.worker_id.clone(),
-            fence,
-            deadline_ms: 0,
-            ok: false,
-        })
+        self.append("release", key, fence, 0, false)
     }
 
-    /// Marks a cell terminal (ends its lease).
-    fn mark_done(&self, key: &str, fence: u64, ok: bool) -> Result<(), SweepError> {
-        self.append(&LeaseLine {
-            op: "done".to_owned(),
-            key: key.to_owned(),
-            worker: self.config.worker_id.clone(),
-            fence,
-            deadline_ms: 0,
-            ok,
-        })
+    /// The claim source of a fleet sweep (see
+    /// [`run_cells`](super::run_cells)): reads the fleet view, picks the
+    /// first claimable cell of `keys` scanning from this worker's hash
+    /// offset, then claims and confirms it through the lease log. It
+    /// sleeps `poll_ms` only while unfinished cells are leased to someone
+    /// else. Returns `None` once every cell is terminal or held by this
+    /// process, when `stop` turns true, on fail-fast (some cell failed and
+    /// not `keep_going`), and after a lease-log error (see
+    /// [`Fleet::take_error`]) or a journal write error.
+    pub(super) fn claim(
+        &self,
+        keys: &[String],
+        keep_going: bool,
+        stop: &dyn Fn() -> bool,
+    ) -> Option<(usize, u64)> {
+        let total = keys.len();
+        let start = (fnv(self.worker_id()) % total.max(1) as u64) as usize;
+        loop {
+            // A failed journal append would leave the cell claimable
+            // again (no metrics behind its `done`): stop instead of
+            // re-running it forever.
+            if stop()
+                || self.error.lock().expect("fleet error").is_some()
+                || self.journal.has_write_error()
+            {
+                return None;
+            }
+            // Pick under the gate, so this worker's threads never pick
+            // the same cell: each sees the claims of the others.
+            let gate = self.claim_gate.lock().expect("claim gate");
+            // Snapshot before the view: a cell that leaves the set has its
+            // `done` in the log already, so the view sees it terminal.
+            let held = self.held.lock().expect("held set").clone();
+            let view = self.checked(self.view())?;
+            if !keep_going && keys.iter().any(|k| view.failed(k)) {
+                return None;
+            }
+            let now = now_ms();
+            let picked = (0..total)
+                .map(|off| (start + off) % total)
+                .find(|&i| view.claimable(&keys[i], now));
+            let Some(i) = picked else {
+                // Cells held by this process finish on their own threads;
+                // only a lease held elsewhere is worth waiting for (a
+                // restarted worker reusing this id is "elsewhere" too).
+                if keys
+                    .iter()
+                    .all(|k| view.terminal(k) || held.contains_key(k))
+                {
+                    return None;
+                }
+                drop((view, gate));
+                std::thread::sleep(Duration::from_millis(self.config.poll_ms));
+                continue;
+            };
+            let key = &keys[i];
+            let Some(fence) = self.checked(self.claim_in(&view, key))? else {
+                continue; // lost the race to another worker; look again
+            };
+            self.held
+                .lock()
+                .expect("held set")
+                .insert(key.clone(), fence);
+            drop((view, gate));
+            if stop() {
+                // SIGINT landed during the claim I/O: hand the cell back
+                // un-run so a resume (or a sibling) picks it up cleanly.
+                let _ = self.release(key, fence);
+                self.held.lock().expect("held set").remove(key);
+                return None;
+            }
+            let slow_ms: u64 = std::env::var("DIREXT_FLEET_SLOW_MS")
+                .ok()
+                .and_then(|v| v.parse().ok())
+                .unwrap_or(0);
+            if slow_ms > 0 {
+                std::thread::sleep(Duration::from_millis(slow_ms));
+            }
+            return Some((i, fence));
+        }
+    }
+
+    /// Ends this worker's lease on a claimed cell it ran: a terminal
+    /// `done` record (`ok` = the cell succeeded).
+    pub(super) fn finish(&self, key: &str, fence: u64, ok: bool) {
+        let marked = self.append("done", key, fence, 0, ok);
+        self.held.lock().expect("held set").remove(key);
+        self.checked(marked);
+    }
+
+    /// Renews every held lease once per `heartbeat_ms` until `done` is
+    /// set (and the thread unparked). Renew failures are not fatal — at
+    /// worst a lease expires and a sibling duplicates the cell, which
+    /// fencing makes safe.
+    pub(super) fn heartbeat(&self, done: &AtomicBool) {
+        let interval = Duration::from_millis(self.config.heartbeat_ms);
+        loop {
+            std::thread::park_timeout(interval);
+            if done.load(Ordering::SeqCst) {
+                return;
+            }
+            let held: Vec<(String, u64)> = self
+                .held
+                .lock()
+                .expect("held set")
+                .iter()
+                .map(|(k, f)| (k.clone(), *f))
+                .collect();
+            let deadline = now_ms() + self.config.lease_ms;
+            for (key, fence) in held {
+                let _ = self.append("renew", &key, fence, deadline, false);
+            }
+        }
+    }
+
+    /// The whole fleet's outcome for each of `keys`, folded from every
+    /// worker journal: the best-fence metrics of a complete cell, the
+    /// journaled failure of a failed one, `None` for the rest. Every
+    /// worker thus renders the complete artifact, not just its own cells.
+    pub(super) fn outcomes(&self, keys: &[String]) -> Result<Vec<Option<Outcome>>, SweepError> {
+        let view = self.view()?;
+        Ok(keys
+            .iter()
+            .map(|k| {
+                if view.complete(k) {
+                    view.best_metrics(k).map(|m| Outcome::Ok(Box::new(m)))
+                } else if view.failed(k) {
+                    Some(Outcome::Failed(view.failure(k)))
+                } else {
+                    None
+                }
+            })
+            .collect())
+    }
+
+    /// The first lease-log error since the last call, if any. A sweep
+    /// reports it instead of its results: the claims stopped early.
+    pub(super) fn take_error(&self) -> Option<SweepError> {
+        self.error.lock().expect("fleet error").take()
+    }
+
+    /// Keeps the first error of the sweep for [`Fleet::take_error`].
+    fn checked<T>(&self, result: Result<T, SweepError>) -> Option<T> {
+        result
+            .map_err(|e| {
+                self.error.lock().expect("fleet error").get_or_insert(e);
+            })
+            .ok()
     }
 }
 
@@ -639,206 +772,6 @@ fn fnv(s: &str) -> u64 {
         h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
-}
-
-/// Runs one sweep as a fleet worker — the fleet-mode half of
-/// [`runner::run_cells`](super::run_cells). Claims cells through the
-/// lease log until every cell is terminal, then folds **all** workers'
-/// journals into the full metric set, so every surviving worker returns
-/// (and renders) the complete artifact, byte-identical to a serial run.
-pub(super) fn run_fleet(
-    driver: &str,
-    keys: &[String],
-    cells: &[Cell<'_>],
-    opts: &SweepOpts,
-    fleet: &Arc<Fleet>,
-) -> Result<Vec<Metrics>, SweepError> {
-    let total = keys.len();
-    if total == 0 {
-        return Ok(Vec::new());
-    }
-    let slow_ms: u64 = std::env::var("DIREXT_FLEET_SLOW_MS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    let cancelled = || {
-        opts.cancel
-            .as_ref()
-            .is_some_and(|c| c.load(Ordering::Relaxed))
-    };
-    let failed_fast = AtomicBool::new(false);
-    let held: Mutex<HashMap<String, u64>> = Mutex::new(HashMap::new());
-    let hb_stop = AtomicBool::new(false);
-    let first_error: Mutex<Option<SweepError>> = Mutex::new(None);
-    let fail = |e: SweepError| {
-        let mut slot = first_error.lock().expect("fleet error slot");
-        slot.get_or_insert(e);
-    };
-    let jobs = opts.jobs.max(1).min(total);
-
-    let worker_loop = |thread_idx: usize| {
-        let mut start = (fnv(fleet.worker_id()) as usize).wrapping_add(thread_idx * 7919) % total;
-        loop {
-            if cancelled() {
-                break;
-            }
-            if failed_fast.load(Ordering::Relaxed) && !opts.keep_going {
-                break;
-            }
-            let view = match fleet.view() {
-                Ok(v) => v,
-                Err(e) => {
-                    fail(e);
-                    break;
-                }
-            };
-            if !opts.keep_going && keys.iter().any(|k| view.failed(k)) {
-                failed_fast.store(true, Ordering::Relaxed);
-                break;
-            }
-            let now = now_ms();
-            let picked = (0..total)
-                .map(|off| (start + off) % total)
-                .find(|&i| view.claimable(&keys[i], now));
-            let Some(i) = picked else {
-                if keys.iter().all(|k| view.terminal(k)) {
-                    break;
-                }
-                // Everything is either terminal or leased to a live
-                // sibling: wait for completions or lease expiries.
-                std::thread::sleep(Duration::from_millis(fleet.config.poll_ms));
-                continue;
-            };
-            start = (i + 1) % total;
-            let key = &keys[i];
-            let fence = match fleet.try_claim(key) {
-                Ok(Some(f)) => f,
-                Ok(None) => continue, // lost the race; look again
-                Err(e) => {
-                    fail(e);
-                    break;
-                }
-            };
-            held.lock().expect("held set").insert(key.clone(), fence);
-            if cancelled() {
-                // SIGINT landed during the claim I/O: hand the cell back
-                // un-run so a resume (or a sibling) picks it up cleanly.
-                let _ = fleet.release(key, fence);
-                held.lock().expect("held set").remove(key);
-                break;
-            }
-            if slow_ms > 0 {
-                std::thread::sleep(Duration::from_millis(slow_ms));
-            }
-            let outcome = runner::run_one(key, &cells[i], opts, fence);
-            let ok = matches!(outcome, runner::Outcome::Ok(_));
-            let marked = fleet.mark_done(key, fence, ok);
-            held.lock().expect("held set").remove(key);
-            if let Err(e) = marked {
-                fail(e);
-                break;
-            }
-            if !ok && !opts.keep_going {
-                failed_fast.store(true, Ordering::Relaxed);
-                break;
-            }
-        }
-    };
-
-    std::thread::scope(|outer| {
-        outer.spawn(|| {
-            // Heartbeat: renew held leases every heartbeat_ms, waking
-            // frequently so shutdown is prompt. Renew failures are not
-            // fatal — at worst a lease expires and a sibling duplicates
-            // the cell, which fencing makes safe.
-            let interval = Duration::from_millis(fleet.config.heartbeat_ms);
-            let mut last = Instant::now();
-            while !hb_stop.load(Ordering::Relaxed) {
-                std::thread::sleep(Duration::from_millis(10));
-                if last.elapsed() >= interval {
-                    last = Instant::now();
-                    let snapshot: Vec<(String, u64)> = held
-                        .lock()
-                        .expect("held set")
-                        .iter()
-                        .map(|(k, f)| (k.clone(), *f))
-                        .collect();
-                    if !snapshot.is_empty() {
-                        let _ = fleet.renew_held(&snapshot);
-                    }
-                }
-            }
-        });
-        std::thread::scope(|inner| {
-            for t in 0..jobs {
-                inner.spawn(move || worker_loop(t));
-            }
-        });
-        hb_stop.store(true, Ordering::Relaxed);
-    });
-
-    if let Some(e) = first_error.lock().expect("fleet error slot").take() {
-        return Err(e);
-    }
-    if let Some(journal) = &opts.journal {
-        if let Some(detail) = journal.take_write_error() {
-            return Err(SweepError::Journal(detail));
-        }
-    }
-
-    let view = fleet.view()?;
-    let completed = keys.iter().filter(|k| view.complete(k)).count();
-    let failed_keys: Vec<&String> = keys.iter().filter(|k| view.failed(k)).collect();
-    if !failed_keys.is_empty() {
-        let failures: Vec<CellFailure> = failed_keys.iter().map(|k| view.failure(k)).collect();
-        if !opts.keep_going {
-            let first = failures.into_iter().next().expect("non-empty failures");
-            return Err(if first.panicked {
-                SweepError::CellPanicked {
-                    key: first.key,
-                    detail: first
-                        .error
-                        .strip_prefix("panic: ")
-                        .unwrap_or(&first.error)
-                        .to_owned(),
-                }
-            } else {
-                SweepError::CellFailed {
-                    key: first.key,
-                    attempts: first.attempts,
-                    detail: first.error,
-                }
-            });
-        }
-        return Err(SweepError::Quarantined(Quarantine {
-            failures,
-            completed,
-            total,
-        }));
-    }
-    if completed < total {
-        if cancelled() {
-            return Err(SweepError::Interrupted { completed, total });
-        }
-        // Workers only stop claiming on cancel/failure/error, all handled
-        // above; guard so a protocol bug cannot return a short row set.
-        return Err(SweepError::Assembly(format!(
-            "{driver}: fleet drain left {} of {total} cells incomplete",
-            total - completed
-        )));
-    }
-    let mut metrics = Vec::with_capacity(total);
-    for key in keys {
-        match view.best_metrics(key) {
-            Some(m) => metrics.push(m.clone()),
-            None => {
-                return Err(SweepError::Assembly(format!(
-                    "{driver}: cell {key} marked done but no journal holds its metrics"
-                )))
-            }
-        }
-    }
-    Ok(metrics)
 }
 
 #[cfg(test)]
@@ -954,6 +887,14 @@ mod tests {
             .is_ok());
     }
 
+    impl Fleet {
+        /// One gated claim attempt on `key`, as [`Fleet::claim`] makes it.
+        fn try_claim(&self, key: &str) -> Result<Option<u64>, SweepError> {
+            let _gate = self.claim_gate.lock().expect("claim gate");
+            self.claim_in(&self.view()?, key)
+        }
+    }
+
     #[test]
     fn try_claim_confirms_through_the_log() {
         let dir = std::env::temp_dir().join(format!("dirext-fleet-claim-{}", std::process::id()));
@@ -966,9 +907,14 @@ mod tests {
         // A second worker in the same dir cannot claim it either.
         let other = Fleet::new(FleetConfig::new(&dir, "w2")).expect("fleet");
         assert!(other.try_claim("cell/a").expect("io").is_none());
-        // After done, the cell is terminal: still unclaimable.
-        fleet.mark_done("cell/a", fence, false).expect("done");
+        // After done, the cell is terminal: still unclaimable, even past
+        // any lease deadline.
+        fleet.finish("cell/a", fence, false);
+        assert!(fleet.take_error().is_none(), "done append");
         assert!(other.try_claim("cell/a").expect("io").is_none());
+        let view = other.view().expect("view");
+        assert!(view.terminal("cell/a"));
+        assert!(!view.claimable("cell/a", u64::MAX));
         // A released cell is claimable with a higher fence.
         let f2 = fleet.try_claim("cell/b").expect("io").expect("won");
         fleet.release("cell/b", f2).expect("release");

@@ -457,15 +457,24 @@ impl Journal {
             .map(|c| c.metrics.clone())
     }
 
-    /// Like [`Journal::lookup`], but also returns the fencing token the
-    /// cell completed under.
-    pub fn lookup_fenced(&self, key: &str) -> Option<(u64, Metrics)> {
+    /// Like [`Journal::lookup`], but returns the whole record, fencing
+    /// token included.
+    pub fn lookup_fenced(&self, key: &str) -> Option<OkCell> {
         self.inner
             .lock()
             .expect("journal lock")
             .completed
             .get(key)
-            .map(|c| (c.fence, c.metrics.clone()))
+            .cloned()
+    }
+
+    /// Whether `key` completed (without copying its metrics).
+    pub fn is_completed(&self, key: &str) -> bool {
+        self.inner
+            .lock()
+            .expect("journal lock")
+            .completed
+            .contains_key(key)
     }
 
     /// Whether `key` is recorded as a terminal failure (and not since
@@ -932,7 +941,7 @@ mod tests {
         .unwrap();
         let j = Journal::resume(&path).expect("pre-fence journal loads");
         assert_eq!(j.recovered_lines(), 0, "old records are not dropped");
-        assert_eq!(j.lookup_fenced("old/cell").expect("hit").0, 0);
+        assert_eq!(j.lookup_fenced("old/cell").expect("hit").fence, 0);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1045,9 +1054,12 @@ mod tests {
         assert_eq!(summary.cells, 3);
         assert_eq!(summary.failed, 1);
         let merged = Journal::resume(&out).expect("merged journal loads");
-        let (fence, m) = merged.lookup_fenced("s/dup").expect("dup resolved");
-        assert_eq!(fence, 3, "highest fence wins");
-        assert_eq!(m.exec_cycles, 300, "the fence-3 record's metrics won");
+        let dup = merged.lookup_fenced("s/dup").expect("dup resolved");
+        assert_eq!(dup.fence, 3, "highest fence wins");
+        assert_eq!(
+            dup.metrics.exec_cycles, 300,
+            "the fence-3 record's metrics won"
+        );
         assert!(merged.lookup("s/only-a").is_some());
         assert!(merged.lookup("s/only-b").is_some());
         assert!(merged.is_failed("s/bad"));

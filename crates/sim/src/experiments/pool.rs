@@ -3,10 +3,12 @@
 //! Every experiment driver is a nested loop over independent simulator
 //! configurations (application × protocol × consistency × network). This
 //! module flattens such a loop into an indexed task list and runs it on a
-//! pool of scoped worker threads: a shared atomic cursor hands out the next
-//! unclaimed configuration index, so a worker that finishes a short run
-//! immediately steals the next pending one instead of idling behind a
-//! static partition (MP3D at 64 procs takes ~20× longer than LU at 4).
+//! pool of scoped worker threads. Each worker takes the next task from a
+//! claim source until the source runs dry: locally a shared atomic
+//! [`cursor`], so a worker that finishes a short run immediately steals the
+//! next pending one instead of idling behind a static partition (MP3D at
+//! 64 procs takes ~20× longer than LU at 4); in fleet mode the lease log
+//! (see [`super::fleet`]).
 //!
 //! Determinism: each configuration runs an isolated [`crate::Machine`]
 //! whose behaviour depends only on its inputs, and results are written to a
@@ -16,59 +18,95 @@
 //!
 //! Built on `std::thread::scope` only — no external runtime.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
+use std::thread::Thread;
 
-/// Runs `f(0..n)` across `jobs` worker threads, checking `should_stop`
-/// before each claim, and returns per-index results in order.
+/// The local claim source: an atomic cursor handing out `0..n` in order,
+/// each index once (with tag 0).
+pub fn cursor(n: usize) -> impl Fn() -> Option<(usize, u64)> + Sync {
+    let next = AtomicUsize::new(0);
+    move || {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        (i < n).then_some((i, 0))
+    }
+}
+
+/// Sets the flag and wakes the side thread when dropped, so the side
+/// thread exits even if a worker panics.
+struct Finish<'a> {
+    done: &'a AtomicBool,
+    side: Option<Thread>,
+}
+
+impl Drop for Finish<'_> {
+    fn drop(&mut self) {
+        self.done.store(true, Ordering::SeqCst);
+        if let Some(side) = &self.side {
+            side.unpark();
+        }
+    }
+}
+
+/// Runs `f(i, tag)` for every `(i, tag)` that `claim` hands out, across
+/// `jobs` worker threads, and returns the per-index results of `0..n` in
+/// order. Each worker claims until `claim` returns `None`.
 ///
-/// `None` marks an index that was never claimed because `should_stop`
-/// turned true first — the crash-safe sweep orchestrator uses this for
-/// fail-fast drains and cooperative SIGINT cancellation. Claimed tasks
-/// always run to completion (the stop flag is only consulted *between*
-/// cells), so a drain never tears a simulator run in half.
+/// `None` marks an index that was never claimed: a claim source runs dry
+/// early on fail-fast drains and cancellation. Claimed tasks always run
+/// to completion, so a drain never tears a simulator run in half. With
+/// `jobs <= 1` the loop runs inline on the caller's thread.
 ///
-/// With `jobs <= 1` (or fewer than two tasks) the loop runs inline on the
-/// caller's thread with no pool setup at all.
+/// `beside`, when given, runs on one more thread of the same scope (the
+/// fleet heartbeat); once every worker has returned, its flag turns true
+/// and its thread is unparked, and it must return soon after.
 ///
 /// # Panics
 ///
-/// Propagates a panic from `f` (callers that need isolation wrap `f` in
-/// `catch_unwind` themselves — see [`super::runner::run_cells`]).
-pub fn run_collect<T, F, S>(jobs: usize, n: usize, should_stop: &S, f: F) -> Vec<Option<T>>
+/// Propagates a panic from `claim` or `f` (callers that need isolation
+/// wrap `f` in `catch_unwind` themselves — see
+/// [`super::runner::run_cells`]), and panics if `claim` yields an index
+/// `>= n`.
+pub fn run_collect<T, C, F>(
+    jobs: usize,
+    n: usize,
+    claim: C,
+    f: F,
+    beside: Option<&(dyn Fn(&AtomicBool) + Sync)>,
+) -> Vec<Option<T>>
 where
     T: Send,
-    F: Fn(usize) -> T + Sync,
-    S: Fn() -> bool + Sync + ?Sized,
+    C: Fn() -> Option<(usize, u64)> + Sync,
+    F: Fn(usize, u64) -> T + Sync,
 {
-    if jobs <= 1 || n <= 1 {
-        let mut out = Vec::with_capacity(n);
-        for i in 0..n {
-            if should_stop() {
-                break;
-            }
-            out.push(Some(f(i)));
-        }
-        out.resize_with(n, || None);
-        return out;
-    }
     let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..jobs.min(n) {
-            scope.spawn(|| loop {
-                if should_stop() {
-                    break;
+    let work = || {
+        while let Some((i, tag)) = claim() {
+            let r = f(i, tag);
+            *slots[i].lock().expect("result slot poisoned") = Some(r);
+        }
+    };
+    match beside {
+        None if jobs <= 1 => work(),
+        _ => {
+            let done = AtomicBool::new(false);
+            std::thread::scope(|scope| {
+                let side = beside.map(|beside| scope.spawn(|| beside(&done)));
+                let _finish = Finish {
+                    done: &done,
+                    side: side.map(|h| h.thread().clone()),
+                };
+                if jobs <= 1 {
+                    work();
+                } else {
+                    let workers: Vec<_> = (0..jobs).map(|_| scope.spawn(work)).collect();
+                    for w in workers {
+                        w.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+                    }
                 }
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let r = f(i);
-                *slots[i].lock().expect("result slot poisoned") = Some(r);
             });
         }
-    });
+    }
     slots
         .into_iter()
         .map(|slot| slot.into_inner().expect("result slot poisoned"))
@@ -100,7 +138,7 @@ where
     if jobs <= 1 || n <= 1 {
         return (0..n).map(f).collect();
     }
-    run_collect(jobs, n, &|| false, f)
+    run_collect(jobs.min(n), n, cursor(n), |i, _| f(i), None)
         .into_iter()
         .map(|slot| slot.expect("every index claimed by exactly one worker"))
         .collect()
@@ -109,6 +147,18 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A cursor over `0..n` that runs dry early once `stop` is set.
+    fn claims(n: usize, stop: &AtomicBool) -> impl Fn() -> Option<(usize, u64)> + Sync + '_ {
+        let next = cursor(n);
+        move || {
+            if stop.load(Ordering::Relaxed) {
+                None
+            } else {
+                next()
+            }
+        }
+    }
 
     #[test]
     fn serial_and_parallel_agree() {
@@ -147,7 +197,8 @@ mod tests {
     #[test]
     fn run_collect_without_stop_claims_everything() {
         for jobs in [1, 4] {
-            let r = run_collect(jobs, 10, &|| false, |i| i * 2);
+            let stop = AtomicBool::new(false);
+            let r = run_collect(jobs, 10, claims(10, &stop), |i, _| i * 2, None);
             assert_eq!(r.len(), 10);
             assert!(r.iter().all(Option::is_some));
             assert_eq!(r[4], Some(8));
@@ -156,15 +207,20 @@ mod tests {
 
     #[test]
     fn run_collect_stop_leaves_unclaimed_slots_none() {
-        use std::sync::atomic::AtomicBool;
         for jobs in [1, 4] {
             let stop = AtomicBool::new(false);
-            let r = run_collect(jobs, 64, &|| stop.load(Ordering::Relaxed), |i| {
-                if i == 3 {
-                    stop.store(true, Ordering::Relaxed);
-                }
-                i
-            });
+            let r = run_collect(
+                jobs,
+                64,
+                claims(64, &stop),
+                |i, _| {
+                    if i == 3 {
+                        stop.store(true, Ordering::Relaxed);
+                    }
+                    i
+                },
+                None,
+            );
             assert_eq!(r.len(), 64);
             assert_eq!(r[3], Some(3), "claimed cells run to completion");
             assert!(
@@ -176,7 +232,35 @@ mod tests {
 
     #[test]
     fn run_collect_stop_set_up_front_runs_nothing() {
-        let r = run_collect(4, 8, &|| true, |i| i);
+        let stop = AtomicBool::new(true);
+        let r = run_collect(4, 8, claims(8, &stop), |i, _| i, None);
         assert_eq!(r, vec![None; 8]);
+    }
+
+    #[test]
+    fn beside_runs_in_the_scope_until_every_worker_returned() {
+        for jobs in [1, 3] {
+            let next = cursor(20);
+            let finished = AtomicUsize::new(0);
+            let seen_at_exit = AtomicUsize::new(usize::MAX);
+            let beside = |done: &AtomicBool| {
+                while !done.load(Ordering::Relaxed) {
+                    std::thread::yield_now();
+                }
+                seen_at_exit.store(finished.load(Ordering::SeqCst), Ordering::SeqCst);
+            };
+            let r = run_collect(
+                jobs,
+                20,
+                || next().map(|(i, _)| (i, 7)),
+                |i, tag| {
+                    finished.fetch_add(1, Ordering::SeqCst);
+                    (i, tag)
+                },
+                Some(&beside),
+            );
+            assert!(r.iter().enumerate().all(|(i, s)| *s == Some((i, 7))));
+            assert_eq!(seen_at_exit.load(Ordering::SeqCst), 20);
+        }
     }
 }

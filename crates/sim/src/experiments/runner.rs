@@ -2,7 +2,8 @@
 //!
 //! Every experiment driver flattens its configuration grid into a list of
 //! [`Cell`]s and hands it to [`run_cells`], which layers the robustness
-//! machinery over the raw [`super::pool`] fan-out:
+//! machinery over the raw [`super::pool`] fan-out: one sweep loop whose
+//! worker threads take `(index, fence)` claims from a claim source.
 //!
 //! * **Journaling** — with [`SweepOpts::journal`] set, each completed cell
 //!   is appended to the write-ahead [`Journal`](super::journal::Journal)
@@ -21,10 +22,11 @@
 //!   attempt). The rotation and the backoff schedule are both
 //!   deterministic, so interrupted and uninterrupted runs agree on every
 //!   outcome.
-//! * **Fleet mode** — with [`SweepOpts::fleet`] set, the sweep joins a
-//!   multi-process fleet sharing a lease file: workers claim disjoint
-//!   cells, heartbeat their leases, and reclaim cells whose worker died
-//!   (see [`super::fleet`]).
+//! * **Fleet mode** — the claim source is the pool's atomic cursor
+//!   (fence 0) unless [`SweepOpts::fleet`] is set; then workers of a
+//!   multi-process fleet claim disjoint cells through a shared lease
+//!   file, and the outcomes are rebuilt from every worker's journal
+//!   before the shared fold (see [`super::fleet`]).
 //! * **Quarantine** — with [`SweepOpts::keep_going`], failing cells are
 //!   collected into a [`Quarantine`] report while their siblings finish;
 //!   without it the sweep stops claiming new cells after the first
@@ -88,7 +90,7 @@ pub struct SweepOpts {
     /// the sweep.
     pub replay_only: bool,
     /// Fleet coordinator: when set, the sweep claims cells through the
-    /// shared lease file instead of a process-private pool.
+    /// shared lease file instead of the process-private cursor.
     pub fleet: Option<Arc<Fleet>>,
 }
 
@@ -454,6 +456,9 @@ impl SweepError {
     }
 }
 
+/// Prefix of a panicked cell's journaled error text.
+pub(super) const PANIC_PREFIX: &str = "panic: ";
+
 /// Per-cell outcome inside the pool (before sweep-level aggregation).
 pub(super) enum Outcome {
     Ok(Box<Metrics>),
@@ -469,11 +474,13 @@ pub(super) enum Outcome {
 ///
 /// # Errors
 ///
-/// [`SweepError::Sim`]/[`SweepError::CellPanicked`] for the
+/// [`SweepError::Sim`]/[`SweepError::CellPanicked`] (or, for a failure
+/// read back from a fleet journal, [`SweepError::CellFailed`]) for the
 /// lowest-indexed failure in fail-fast mode, [`SweepError::Quarantined`]
 /// with the full failure list under [`SweepOpts::keep_going`],
 /// [`SweepError::Interrupted`] when the cancellation flag tripped, and
-/// [`SweepError::Journal`] when the write-ahead log broke.
+/// [`SweepError::Journal`] when the write-ahead log or the lease log
+/// broke.
 pub fn run_cells(
     driver: &str,
     cells: &[Cell<'_>],
@@ -498,10 +505,10 @@ pub fn run_cells(
         })
         .collect();
 
-    if let Some(fleet) = &opts.fleet {
-        return super::fleet::run_fleet(driver, &keys, cells, opts, fleet);
-    }
-    if opts.replay_only && !opts.keep_going {
+    let fleet = opts.fleet.as_deref();
+    // A fleet worker's own journal holds only its share of the cells, so
+    // replay-only checks apply to local sweeps alone.
+    if opts.replay_only && !opts.keep_going && fleet.is_none() {
         if let Some(journal) = &opts.journal {
             let missing: Vec<String> = keys
                 .iter()
@@ -527,14 +534,65 @@ pub fn run_cells(
     };
     let should_stop = || failed_fast.load(Ordering::Relaxed) || cancelled();
 
-    let outcomes = pool::run_collect(opts.jobs, total, &should_stop, |i| {
-        let outcome = run_one(&keys[i], &cells[i], opts, 0);
-        if matches!(outcome, Outcome::Failed(_)) && !opts.keep_going {
-            failed_fast.store(true, Ordering::Relaxed);
-        }
-        outcome
-    });
+    // The one sweep loop. Claims come from the local cursor (fence 0) or,
+    // in fleet mode, from the shared lease log; either way a claimed cell
+    // runs to completion and the source runs dry on drain.
+    let cursor = pool::cursor(total);
+    let claim = || match fleet {
+        Some(fleet) => fleet.claim(&keys, opts.keep_going, &should_stop),
+        None if should_stop() => None,
+        None => cursor(),
+    };
+    // The fleet heartbeat runs beside the workers, in the same scope.
+    let heartbeat = fleet.map(|f| move |done: &AtomicBool| f.heartbeat(done));
+    let outcomes = pool::run_collect(
+        opts.jobs.min(total),
+        total,
+        claim,
+        |i, fence| {
+            let outcome = run_one(&keys[i], &cells[i], opts, fence);
+            let ok = matches!(outcome, Outcome::Ok(_));
+            if !ok && !opts.keep_going {
+                failed_fast.store(true, Ordering::Relaxed);
+            }
+            if let Some(fleet) = fleet {
+                fleet.finish(&keys[i], fence, ok);
+            }
+            outcome
+        },
+        heartbeat
+            .as_ref()
+            .map(|h| h as &(dyn Fn(&AtomicBool) + Sync)),
+    );
 
+    if let Some(fleet) = fleet {
+        if let Some(e) = fleet.take_error() {
+            return Err(e);
+        }
+    }
+    if let Some(journal) = &opts.journal {
+        if let Some(detail) = journal.take_write_error() {
+            return Err(SweepError::Journal(detail));
+        }
+    }
+    let outcomes = match fleet {
+        // Every worker folds the whole fleet's results, so each renders
+        // the complete artifact, not just the cells it ran.
+        Some(fleet) => fleet.outcomes(&keys)?,
+        None => outcomes,
+    };
+    fold(outcomes, opts.keep_going, cancelled())
+}
+
+/// Turns per-cell outcomes (`None` = never claimed) into the sweep
+/// result — the one place both local and fleet sweeps decide between
+/// success, fail-fast error, quarantine, interruption and drain bug.
+fn fold(
+    outcomes: Vec<Option<Outcome>>,
+    keep_going: bool,
+    cancelled: bool,
+) -> Result<Vec<Metrics>, SweepError> {
+    let total = outcomes.len();
     let mut metrics = Vec::with_capacity(total);
     let mut failures = Vec::new();
     let mut unclaimed = 0usize;
@@ -546,29 +604,27 @@ pub fn run_cells(
         }
     }
     let completed = metrics.len();
-
-    if let Some(journal) = &opts.journal {
-        if let Some(detail) = journal.take_write_error() {
-            return Err(SweepError::Journal(detail));
-        }
-    }
-    if !opts.keep_going {
+    if !keep_going {
         if let Some(first) = failures.drain(..).next() {
-            return Err(if first.panicked {
-                SweepError::CellPanicked {
+            return Err(match (first.panicked, first.sim) {
+                (true, _) => SweepError::CellPanicked {
                     key: first.key,
                     detail: first.error,
-                }
-            } else {
-                SweepError::Sim {
+                },
+                (false, Some(error)) => SweepError::Sim {
                     key: first.key,
                     attempts: first.attempts,
-                    error: first.sim.unwrap_or(SimError::EventBudgetExceeded),
-                }
+                    error,
+                },
+                (false, None) => SweepError::CellFailed {
+                    key: first.key,
+                    attempts: first.attempts,
+                    detail: first.error,
+                },
             });
         }
     }
-    if unclaimed > 0 && cancelled() {
+    if unclaimed > 0 && cancelled {
         return Err(SweepError::Interrupted { completed, total });
     }
     if !failures.is_empty() {
@@ -580,7 +636,7 @@ pub fn run_cells(
     }
     if unclaimed > 0 {
         // Unreachable without a failure or cancellation; guard anyway so a
-        // pool bug cannot silently return a short row set.
+        // claim-source bug cannot silently return a short row set.
         return Err(SweepError::Assembly(format!(
             "{unclaimed} of {total} cells unclaimed without a recorded cause"
         )));
@@ -706,7 +762,12 @@ pub(super) fn run_one(key: &str, cell: &Cell<'_>, opts: &SweepOpts, fence: u64) 
             Err(payload) => {
                 let detail = panic_message(payload.as_ref());
                 if let Some(journal) = &opts.journal {
-                    journal.record_failed_fenced(key, attempt, fence, &format!("panic: {detail}"));
+                    journal.record_failed_fenced(
+                        key,
+                        attempt,
+                        fence,
+                        &format!("{PANIC_PREFIX}{detail}"),
+                    );
                 }
                 return Outcome::Failed(CellFailure {
                     key: key.to_owned(),
@@ -742,85 +803,27 @@ pub fn run_protocol(
     kind: ProtocolKind,
     consistency: Consistency,
 ) -> Result<Metrics, SimError> {
-    run_protocol_on(workload, kind, consistency, NetworkKind::Uniform, None)
-}
-
-/// [`run_protocol`] with an explicit network and optional timing override.
-///
-/// # Errors
-///
-/// Propagates any [`SimError`] from the run.
-pub fn run_protocol_on(
-    workload: &Workload,
-    kind: ProtocolKind,
-    consistency: Consistency,
-    network: NetworkKind,
-    timing: Option<Timing>,
-) -> Result<Metrics, SimError> {
-    run_protocol_cfg(workload, kind, consistency, network, timing, None)
-}
-
-/// [`run_protocol_dir`] under the default full-map directory. Kept as the
-/// stable entry point for callers that never leave the ≤64-node regime.
-///
-/// # Errors
-///
-/// Propagates any [`SimError`] from the run.
-pub fn run_protocol_cfg(
-    workload: &Workload,
-    kind: ProtocolKind,
-    consistency: Consistency,
-    network: NetworkKind,
-    timing: Option<Timing>,
-    fault: Option<FaultPlan>,
-) -> Result<Metrics, SimError> {
-    run_protocol_dir(
+    run_protocol_full(
         workload,
         kind,
         consistency,
-        network,
+        NetworkKind::Uniform,
         DirOrg::FullMap,
-        timing,
-        fault,
+        None,
+        None,
+        None,
     )
 }
 
 /// The fully-general run helper: explicit network, directory
-/// organization, optional timing override, optional fault plan. Every
-/// sweep configuration bottoms out here.
+/// organization, optional timing override, optional link-fault plan and
+/// optional whole-node crash/recovery schedule. Every sweep cell bottoms
+/// out here.
 ///
 /// # Errors
 ///
 /// Propagates any [`SimError`] from the run, including
 /// [`SimError::Config`] when `dir` cannot serve `workload.procs()` nodes.
-pub fn run_protocol_dir(
-    workload: &Workload,
-    kind: ProtocolKind,
-    consistency: Consistency,
-    network: NetworkKind,
-    dir: DirOrg,
-    timing: Option<Timing>,
-    fault: Option<FaultPlan>,
-) -> Result<Metrics, SimError> {
-    run_protocol_full(
-        workload,
-        kind,
-        consistency,
-        network,
-        dir,
-        timing,
-        fault,
-        None,
-    )
-}
-
-/// [`run_protocol_dir`] with a whole-node crash/recovery schedule on
-/// top of the optional link-fault plan — the fully-loaded entry point the
-/// `degrade` sweep bottoms out in.
-///
-/// # Errors
-///
-/// Propagates any [`SimError`] from the run.
 #[allow(clippy::too_many_arguments)]
 pub fn run_protocol_full(
     workload: &Workload,

@@ -24,7 +24,7 @@ use dirext_core::sharer::DirOrg;
 use dirext_core::{DirCtrl, MsgKind};
 use dirext_sim::core::config::Consistency;
 use dirext_sim::core::ProtocolKind;
-use dirext_sim::experiments::{fig2_with, run_protocol_dir, SweepOpts};
+use dirext_sim::experiments::{fig2_with, run_protocol_full, SweepOpts};
 use dirext_sim::{FaultPlan, NetworkKind};
 use dirext_trace::{BlockAddr, NodeId, Workload};
 use dirext_workloads::{App, Scale};
@@ -122,7 +122,7 @@ fn sweep_artifact() -> String {
 /// metrics include the `ext:` directory counters.
 fn dirscale_artifact() -> String {
     let w = App::Water.workload(256, Scale::Tiny);
-    let m = run_protocol_dir(
+    let m = run_protocol_full(
         &w,
         ProtocolKind::PCw,
         Consistency::Rc,
@@ -131,6 +131,7 @@ fn dirscale_artifact() -> String {
             ptrs: 4,
             broadcast: true,
         },
+        None,
         None,
         None,
     )

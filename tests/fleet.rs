@@ -216,3 +216,29 @@ fn replay_only_refuses_incomplete_journals() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn fleet_failure_reports_match_local_sweeps() {
+    // A fleet folds failures back from worker journals; the report must
+    // read exactly like the local sweep's, quarantined or fail-fast.
+    // Fail-fast reports the first failing cell a sweep reached: the
+    // local sweep starts at cell 0 (MP3D), and worker `solo` scans from
+    // its hash offset past the MP3D cells, wrapping round to cell 0.
+    let s = suite();
+    for keep_going in [true, false] {
+        let dir = tmp_dir(&format!("report-{keep_going}"));
+        let mut local = SweepOpts::jobs(1).with_chaos_panic("MP3D");
+        let mut fleet = worker_opts(&dir, "solo", 1).with_chaos_panic("MP3D");
+        if keep_going {
+            (local, fleet) = (local.keep_going(), fleet.keep_going());
+        }
+        let local = fig2_with(&s, &local).expect_err("MP3D cells panic");
+        let fleet = fig2_with(&s, &fleet).expect_err("MP3D cells panic");
+        assert_eq!(
+            fleet.to_string(),
+            local.to_string(),
+            "keep_going={keep_going}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

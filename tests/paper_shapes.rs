@@ -263,15 +263,26 @@ fn migratory_optimization_reduces_traffic() {
 
 #[test]
 fn narrow_links_erode_pcw_more_than_pm() {
-    use dirext_sim::experiments::run_protocol_on;
+    use dirext_core::sharer::DirOrg;
+    use dirext_sim::experiments::run_protocol_full;
     use dirext_sim::NetworkKind;
     let w = App::Mp3d.workload(16, Scale::Small);
     let ratio = |kind: ProtocolKind, bits: u32| {
         let net = NetworkKind::Mesh { link_bits: bits };
-        let base = run_protocol_on(&w, ProtocolKind::Basic, Consistency::Rc, net, None).unwrap();
-        run_protocol_on(&w, kind, Consistency::Rc, net, None)
+        let run = |kind| {
+            run_protocol_full(
+                &w,
+                kind,
+                Consistency::Rc,
+                net,
+                DirOrg::FullMap,
+                None,
+                None,
+                None,
+            )
             .unwrap()
-            .relative_time(&base)
+        };
+        run(kind).relative_time(&run(ProtocolKind::Basic))
     };
     let pcw_degrade = ratio(ProtocolKind::PCw, 16) - ratio(ProtocolKind::PCw, 64);
     let pm_degrade = ratio(ProtocolKind::PM, 16) - ratio(ProtocolKind::PM, 64);

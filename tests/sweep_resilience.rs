@@ -12,9 +12,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use dirext_core::config::Consistency;
+use dirext_core::sharer::DirOrg;
 use dirext_core::ProtocolKind;
 use dirext_sim::experiments::{
-    fig2_with, journal::Journal, miss_latency_with, run_protocol_cfg, SweepError, SweepOpts,
+    fig2_with, journal::Journal, miss_latency_with, run_protocol_full, SweepError, SweepOpts,
 };
 use dirext_sim::{FaultPlan, NetworkKind};
 use dirext_trace::Workload;
@@ -175,24 +176,28 @@ fn lossy(seed: u64) -> FaultPlan {
 /// seed and whether the rotated-seed retry (seed+1 or seed+2) succeeds.
 fn find_transient_seed(w: &Workload) -> Option<(u64, bool)> {
     for seed in 0..120u64 {
-        let first = run_protocol_cfg(
+        let first = run_protocol_full(
             w,
             ProtocolKind::Basic,
             Consistency::Rc,
             NetworkKind::Uniform,
+            DirOrg::FullMap,
             None,
             Some(lossy(seed)),
+            None,
         );
         match first {
             Err(e) if e.is_transient() => {
                 let retry_clears = (1..=2).any(|off| {
-                    run_protocol_cfg(
+                    run_protocol_full(
                         w,
                         ProtocolKind::Basic,
                         Consistency::Rc,
                         NetworkKind::Uniform,
+                        DirOrg::FullMap,
                         None,
                         Some(lossy(seed + off)),
+                        None,
                     )
                     .is_ok()
                 });
@@ -265,13 +270,15 @@ fn retry_attempts_are_recorded_in_the_quarantine() {
     for seed in 0..200u64 {
         let both_fail = [seed, seed + 1].iter().all(|&s| {
             matches!(
-                run_protocol_cfg(
+                run_protocol_full(
                     &w,
                     ProtocolKind::Basic,
                     Consistency::Rc,
                     NetworkKind::Uniform,
+                    DirOrg::FullMap,
                     None,
                     Some(lossy(s)),
+                    None,
                 ),
                 Err(e) if e.is_transient()
             )
