@@ -931,6 +931,78 @@ fn quarantine_verdict(acc: experiments::Quarantine) -> Result<(), Box<dyn std::e
     }
 }
 
+/// One experiment of `run-all` and `report`: its report section title and
+/// the sweep that renders its body, run when the closure is called.
+type Experiment<'a> = (
+    &'static str,
+    Box<dyn Fn() -> Result<String, SweepError> + 'a>,
+);
+
+/// Every experiment, in the order `run-all` prints them and `report`
+/// documents them.
+fn experiment_list<'a>(
+    args: &'a Args,
+    s: &'a [Workload],
+    opts: &'a SweepOpts,
+) -> Vec<Experiment<'a>> {
+    let app = args.app.unwrap_or(App::Mp3d);
+    vec![
+        (
+            "Table 1 — hardware cost",
+            Box::new(move || Ok(experiments::table1(args.procs))),
+        ),
+        (
+            "Figure 2 — relative execution times (RC)",
+            Box::new(move || experiments::fig2_with(s, opts).map(|r| r.to_string())),
+        ),
+        (
+            "Table 2 — miss-rate components",
+            Box::new(move || experiments::table2_with(s, opts).map(|r| r.to_string())),
+        ),
+        (
+            "Figure 3 — sequential consistency",
+            Box::new(move || experiments::fig3_with(s, opts).map(|r| r.to_string())),
+        ),
+        (
+            "Table 3 — mesh link widths",
+            Box::new(move || experiments::table3_with(s, opts).map(|r| r.to_string())),
+        ),
+        (
+            "Figure 4 — network traffic",
+            Box::new(move || experiments::fig4_with(s, opts).map(|r| r.to_string())),
+        ),
+        (
+            "Sensitivity — small buffers (5.4)",
+            Box::new(move || {
+                experiments::sensitivity_with(s, sens::Constraint::SmallBuffers, opts)
+                    .map(|r| r.to_string())
+            }),
+        ),
+        (
+            "Sensitivity — 16-KB SLC (5.4)",
+            Box::new(move || {
+                experiments::sensitivity_with(s, sens::Constraint::SmallSlc, opts)
+                    .map(|r| r.to_string())
+            }),
+        ),
+        (
+            "Read-miss latency — BASIC vs CW (5.1)",
+            Box::new(move || experiments::miss_latency_with(s, opts).map(|r| r.to_string())),
+        ),
+        (
+            "Topology sweep (extension)",
+            Box::new(move || experiments::topology_with(s, opts).map(|r| r.to_string())),
+        ),
+        (
+            "Scaling — processor count (extension)",
+            Box::new(move || {
+                experiments::scaling_with(app.name(), |procs| app.workload(procs, args.scale), opts)
+                    .map(|r| r.to_string())
+            }),
+        ),
+    ]
+}
+
 fn dispatch(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     match args.command.as_str() {
         "fig2" => {
@@ -1155,59 +1227,11 @@ fn dispatch(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             let s = suite(args);
             let opts = args.sweep_opts()?;
             let mut acc = quarantine_acc();
-            println!("{}", experiments::table1(args.procs));
-            eprintln!("run-all: figure 2...");
-            if let Some(r) = quarantine_step(experiments::fig2_with(&s, &opts), &mut acc)? {
-                println!("{r}");
-            }
-            eprintln!("run-all: table 2...");
-            if let Some(r) = quarantine_step(experiments::table2_with(&s, &opts), &mut acc)? {
-                println!("{r}");
-            }
-            eprintln!("run-all: figure 3...");
-            if let Some(r) = quarantine_step(experiments::fig3_with(&s, &opts), &mut acc)? {
-                println!("{r}");
-            }
-            eprintln!("run-all: table 3...");
-            if let Some(r) = quarantine_step(experiments::table3_with(&s, &opts), &mut acc)? {
-                println!("{r}");
-            }
-            eprintln!("run-all: figure 4...");
-            if let Some(r) = quarantine_step(experiments::fig4_with(&s, &opts), &mut acc)? {
-                println!("{r}");
-            }
-            eprintln!("run-all: sensitivity...");
-            if let Some(r) = quarantine_step(
-                experiments::sensitivity_with(&s, sens::Constraint::SmallBuffers, &opts),
-                &mut acc,
-            )? {
-                println!("{r}");
-            }
-            if let Some(r) = quarantine_step(
-                experiments::sensitivity_with(&s, sens::Constraint::SmallSlc, &opts),
-                &mut acc,
-            )? {
-                println!("{r}");
-            }
-            eprintln!("run-all: miss latency...");
-            if let Some(r) = quarantine_step(experiments::miss_latency_with(&s, &opts), &mut acc)? {
-                println!("{r}");
-            }
-            eprintln!("run-all: topology...");
-            if let Some(r) = quarantine_step(experiments::topology_with(&s, &opts), &mut acc)? {
-                println!("{r}");
-            }
-            eprintln!("run-all: scaling...");
-            let app = args.app.unwrap_or(App::Mp3d);
-            if let Some(r) = quarantine_step(
-                experiments::scaling_with(
-                    app.name(),
-                    |procs| app.workload(procs, args.scale),
-                    &opts,
-                ),
-                &mut acc,
-            )? {
-                println!("{r}");
+            for (title, sweep) in experiment_list(args, &s, &opts) {
+                eprintln!("run-all: {title}...");
+                if let Some(body) = quarantine_step(sweep(), &mut acc)? {
+                    println!("{body}");
+                }
             }
             eprintln!(
                 "run-all: completed in {:.2}s wall-clock with --jobs {}",
@@ -1355,103 +1379,24 @@ fn dispatch(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             let s = suite(args);
             let opts = args.sweep_opts()?;
             let mut acc = quarantine_acc();
-            let mut doc = String::new();
-            doc.push_str(&format!(
+            let mut doc = format!(
                 "# dirext experiment report\n\nScale: {}, {} processors.\n\n",
                 args.scale, args.procs
-            ));
-            let mut section = |title: &str, body: String| {
-                doc.push_str(&format!("## {title}\n\n```text\n{body}\n```\n\n"));
-            };
-            // Under --keep-going a quarantined sweep still gets a section,
-            // with the failure report as its body, so the document shape is
-            // stable for downstream tooling.
-            let render = |r: Result<String, SweepError>,
-                          acc: &mut experiments::Quarantine|
-             -> Result<String, Box<dyn std::error::Error>> {
+            );
+            for (title, sweep) in experiment_list(args, &s, &opts) {
+                eprintln!("report: {title}...");
+                // Under --keep-going a quarantined sweep still gets a
+                // section, with the failure report as its body, so the
+                // document shape is stable for downstream tooling.
                 let failed_at = acc.failures.len();
-                match quarantine_step(r, acc)? {
-                    Some(body) => Ok(body),
-                    None => Ok(format!(
+                let body = quarantine_step(sweep(), &mut acc)?.unwrap_or_else(|| {
+                    format!(
                         "QUARANTINED — {} cell(s) failed; see the failure report",
                         acc.failures.len() - failed_at
-                    )),
-                }
-            };
-            section("Table 1 — hardware cost", experiments::table1(args.procs));
-            eprintln!("report: figure 2...");
-            section(
-                "Figure 2 — relative execution times (RC)",
-                render(
-                    experiments::fig2_with(&s, &opts).map(|r| r.to_string()),
-                    &mut acc,
-                )?,
-            );
-            eprintln!("report: table 2...");
-            section(
-                "Table 2 — miss-rate components",
-                render(
-                    experiments::table2_with(&s, &opts).map(|r| r.to_string()),
-                    &mut acc,
-                )?,
-            );
-            eprintln!("report: figure 3...");
-            section(
-                "Figure 3 — sequential consistency",
-                render(
-                    experiments::fig3_with(&s, &opts).map(|r| r.to_string()),
-                    &mut acc,
-                )?,
-            );
-            eprintln!("report: table 3...");
-            section(
-                "Table 3 — mesh link widths",
-                render(
-                    experiments::table3_with(&s, &opts).map(|r| r.to_string()),
-                    &mut acc,
-                )?,
-            );
-            eprintln!("report: figure 4...");
-            section(
-                "Figure 4 — network traffic",
-                render(
-                    experiments::fig4_with(&s, &opts).map(|r| r.to_string()),
-                    &mut acc,
-                )?,
-            );
-            eprintln!("report: sensitivity...");
-            section(
-                "Sensitivity — small buffers (5.4)",
-                render(
-                    experiments::sensitivity_with(&s, sens::Constraint::SmallBuffers, &opts)
-                        .map(|r| r.to_string()),
-                    &mut acc,
-                )?,
-            );
-            section(
-                "Sensitivity — 16-KB SLC (5.4)",
-                render(
-                    experiments::sensitivity_with(&s, sens::Constraint::SmallSlc, &opts)
-                        .map(|r| r.to_string()),
-                    &mut acc,
-                )?,
-            );
-            eprintln!("report: miss latency...");
-            section(
-                "Read-miss latency — BASIC vs CW (5.1)",
-                render(
-                    experiments::miss_latency_with(&s, &opts).map(|r| r.to_string()),
-                    &mut acc,
-                )?,
-            );
-            eprintln!("report: topology (extension)...");
-            section(
-                "Topology sweep (extension)",
-                render(
-                    experiments::topology_with(&s, &opts).map(|r| r.to_string()),
-                    &mut acc,
-                )?,
-            );
+                    )
+                });
+                doc.push_str(&format!("## {title}\n\n```text\n{body}\n```\n\n"));
+            }
             match &args.out {
                 Some(path) => {
                     std::fs::write(path, &doc)

@@ -173,6 +173,7 @@ fn report_writes_a_complete_markdown_document() {
         "Sensitivity",
         "Read-miss latency",
         "Topology",
+        "Scaling",
     ] {
         assert!(doc.contains(section), "report must contain {section}");
     }

@@ -40,7 +40,9 @@ mod resource;
 mod rng;
 mod time;
 
-pub use queue::{EventQueue, HeapEventQueue};
+pub use queue::EventQueue;
+#[cfg(test)]
+pub use queue::HeapEventQueue;
 pub use resource::Resource;
 pub use rng::Pcg32;
 pub use time::Time;
